@@ -9,12 +9,9 @@
 //! stress the memory engine (`DMA-HEAVY`) and the scheduler's
 //! acquire/release retry path (`BARRIER-HEAVY`).
 //!
-//! Every workload is measured twice — once under the configured executor
-//! (the compiled tier in the paper baseline) and once forced onto the
-//! decoded fast loop — so each row carries the compiled-over-fast speedup
-//! alongside the absolute rates. Both legs must agree on the simulated
-//! instruction/cycle counts (asserted), which makes the bench itself a
-//! coarse differential check of the executor tiers.
+//! Every workload runs under the configured executor (the compiled tier in
+//! the paper baseline); its simulated instruction/cycle counts must not
+//! vary across reps (asserted).
 //!
 //! Results are written to `BENCH.json` so the perf trajectory is tracked
 //! across PRs; `--baseline OLD.json` prints per-workload speedups against
@@ -28,7 +25,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use pim_asm::{DpuProgram, KernelBuilder};
-use pim_dpu::{Dpu, DpuConfig, ExecTier, SimError};
+use pim_dpu::{Dpu, DpuConfig, SimError};
 use pim_isa::Cond;
 use pimulator::experiments as exp;
 use pimulator::jobs::SimJob;
@@ -39,8 +36,9 @@ use prim_suite::{extended_workloads, workload_by_name, DatasetSize, RunConfig};
 use crate::{parse_size_value, size_label};
 
 /// Schema tag written to (and required in) `BENCH.json`. `/3` added the
-/// required `channels` rows (simulated wall time per channel mode).
-pub const BENCH_SCHEMA: &str = "pim-bench/3";
+/// required `channels` rows (simulated wall time per channel mode); `/4`
+/// dropped the per-row fast-tier columns with the fast tier itself.
+pub const BENCH_SCHEMA: &str = "pim-bench/4";
 
 /// Rows whose wall time (in either run) falls under this threshold are
 /// exempt from the `--baseline` regression gate: sub-50ms measurements on
@@ -71,9 +69,6 @@ pub struct Measurement {
     /// Median-of-k wall seconds under the configured executor (the
     /// compiled tier in the paper baseline).
     pub wall_seconds: f64,
-    /// Median-of-k wall seconds with the executor forced onto the decoded
-    /// fast loop ([`ExecTier::Fast`]); same simulated work by assertion.
-    pub wall_seconds_fast: f64,
 }
 
 impl Measurement {
@@ -88,19 +83,6 @@ impl Measurement {
     pub fn instrs_per_sec(&self) -> f64 {
         self.instructions as f64 / self.wall_seconds
     }
-
-    /// Simulated instructions per wall-second on the fast-loop leg.
-    #[must_use]
-    pub fn instrs_per_sec_fast(&self) -> f64 {
-        self.instructions as f64 / self.wall_seconds_fast
-    }
-
-    /// Configured-executor throughput over fast-loop throughput (the
-    /// compiled-over-fast speedup in the paper baseline).
-    #[must_use]
-    pub fn compiled_speedup(&self) -> f64 {
-        self.wall_seconds_fast / self.wall_seconds
-    }
 }
 
 /// Median of `walls` (mean of the middle two for even counts).
@@ -114,9 +96,17 @@ fn median(walls: &mut [f64]) -> f64 {
     }
 }
 
+/// Records a rep's simulated `(instructions, cycles)`, asserting it equals
+/// every earlier rep's.
+fn check_sim(name: &str, got: (u64, u64), sim: &mut Option<(u64, u64)>) {
+    match *sim {
+        None => *sim = Some(got),
+        Some(prev) => assert_eq!(prev, got, "{name}: simulated work must not vary across reps"),
+    }
+}
+
 /// Measures one PrIM workload end-to-end (dataset staging, simulation,
-/// host transfers, and reference validation) `reps` times under `cfg`,
-/// plus `reps` more with the executor forced onto the fast loop.
+/// host transfers, and reference validation) `reps` times under `cfg`.
 ///
 /// # Errors
 ///
@@ -125,9 +115,8 @@ fn median(walls: &mut [f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the workload name is unknown or the simulated
-/// instruction/cycle counts are not identical across reps and executor
-/// tiers (the workloads are seeded and deterministic, and the tiers are
-/// byte-identical by construction).
+/// instruction/cycle counts are not identical across reps (the workloads
+/// are seeded and deterministic).
 pub fn measure_prim(
     name: &str,
     size: DatasetSize,
@@ -135,25 +124,13 @@ pub fn measure_prim(
     reps: usize,
 ) -> Result<Measurement, SimError> {
     let job = SimJob::single(name, size, cfg.clone());
-    let fast_job = SimJob::single(name, size, cfg.clone().with_exec_tier(ExecTier::Fast));
     let mut walls = Vec::with_capacity(reps);
-    let mut walls_fast = Vec::with_capacity(reps);
     let mut sim: Option<(u64, u64)> = None;
-    let check = |got: (u64, u64), sim: &mut Option<(u64, u64)>| match *sim {
-        None => *sim = Some(got),
-        Some(prev) => {
-            assert_eq!(prev, got, "{name}: simulated work must not vary across reps/tiers");
-        }
-    };
     for _ in 0..reps.max(1) {
         let start = Instant::now();
         let out = job.execute()?;
         walls.push(start.elapsed().as_secs_f64());
-        check((out.stats.instructions, out.stats.cycles), &mut sim);
-        let start = Instant::now();
-        let out = fast_job.execute()?;
-        walls_fast.push(start.elapsed().as_secs_f64());
-        check((out.stats.instructions, out.stats.cycles), &mut sim);
+        check_sim(name, (out.stats.instructions, out.stats.cycles), &mut sim);
     }
     let (instructions, cycles) = sim.expect("at least one rep ran");
     Ok(Measurement {
@@ -163,7 +140,6 @@ pub fn measure_prim(
         instructions,
         cycles,
         wall_seconds: median(&mut walls),
-        wall_seconds_fast: median(&mut walls_fast),
     })
 }
 
@@ -265,31 +241,13 @@ pub fn measure_synthetic(
     let program = synthetic_kernel(which, size, cfg.n_tasklets);
     let mut dpu = Dpu::new(cfg.clone());
     dpu.load_program(&program)?;
-    let mut fast_dpu = Dpu::new(cfg.clone().with_exec_tier(ExecTier::Fast));
-    fast_dpu.load_program(&program)?;
     let mut walls = Vec::with_capacity(reps);
-    let mut walls_fast = Vec::with_capacity(reps);
     let mut sim: Option<(u64, u64)> = None;
-    let check = |got: (u64, u64), sim: &mut Option<(u64, u64)>| match *sim {
-        None => *sim = Some(got),
-        Some(prev) => {
-            assert_eq!(
-                prev,
-                got,
-                "{}: simulated work must not vary across reps/tiers",
-                which.name()
-            );
-        }
-    };
     for _ in 0..reps.max(1) {
         let start = Instant::now();
         let stats = dpu.launch()?;
         walls.push(start.elapsed().as_secs_f64());
-        check((stats.instructions, stats.cycles), &mut sim);
-        let start = Instant::now();
-        let stats = fast_dpu.launch()?;
-        walls_fast.push(start.elapsed().as_secs_f64());
-        check((stats.instructions, stats.cycles), &mut sim);
+        check_sim(which.name(), (stats.instructions, stats.cycles), &mut sim);
     }
     let (instructions, cycles) = sim.expect("at least one rep ran");
     Ok(Measurement {
@@ -299,7 +257,6 @@ pub fn measure_synthetic(
         instructions,
         cycles,
         wall_seconds: median(&mut walls),
-        wall_seconds_fast: median(&mut walls_fast),
     })
 }
 
@@ -594,11 +551,8 @@ pub fn bench_json(
                             ("instructions", Json::UInt(m.instructions)),
                             ("cycles", Json::UInt(m.cycles)),
                             ("wall_seconds", Json::from(m.wall_seconds)),
-                            ("wall_seconds_fast", Json::from(m.wall_seconds_fast)),
                             ("kilo_cycles_per_sec", Json::from(m.kilo_cycles_per_sec())),
                             ("instrs_per_sec", Json::from(m.instrs_per_sec())),
-                            ("instrs_per_sec_fast", Json::from(m.instrs_per_sec_fast())),
-                            ("compiled_speedup", Json::from(m.compiled_speedup())),
                         ])
                     })
                     .collect(),
@@ -686,14 +640,7 @@ pub fn validate_bench_json(doc: &Json) -> Result<(), String> {
                 _ => return Err(format!("{name}: `{key}` must be a positive integer")),
             }
         }
-        for key in [
-            "wall_seconds",
-            "wall_seconds_fast",
-            "kilo_cycles_per_sec",
-            "instrs_per_sec",
-            "instrs_per_sec_fast",
-            "compiled_speedup",
-        ] {
+        for key in ["wall_seconds", "kilo_cycles_per_sec", "instrs_per_sec"] {
             match get(key) {
                 Some(Json::Num(v)) if v.is_finite() && *v > 0.0 => {}
                 _ => return Err(format!("{name}: `{key}` must be a positive number")),
@@ -837,15 +784,13 @@ pub fn bench_table(
     for m in rows {
         let _ = write!(
             text,
-            "{:14} {:>12} instrs {:>12} cycles in {:>8.3}s = {:>10.1} Kcyc/s, {:>11.0} instrs/s \
-             ({:.2}x vs fast)",
+            "{:14} {:>12} instrs {:>12} cycles in {:>8.3}s = {:>10.1} Kcyc/s, {:>11.0} instrs/s",
             m.name,
             m.instructions,
             m.cycles,
             m.wall_seconds,
             m.kilo_cycles_per_sec(),
             m.instrs_per_sec(),
-            m.compiled_speedup()
         );
         if let Some(rates) = &base_rates {
             if let Some((_, old, _)) = rates.iter().find(|(n, _, _)| *n == m.name) {
@@ -1020,7 +965,6 @@ mod tests {
                 instructions: 1000,
                 cycles: 2000,
                 wall_seconds: 0.5,
-                wall_seconds_fast: 0.75,
             })
             .collect()
     }

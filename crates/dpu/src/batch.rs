@@ -1,76 +1,61 @@
-//! Rank-scale batched execution: one structure-of-arrays executor advances
-//! many same-program DPUs per sweep.
+//! Rank-scale batched execution: many same-program DPUs launched together
+//! through one shared compiled kernel and one scheduler step.
 //!
-//! The execution stack is a multi-level hierarchy:
+//! The fast executors are layered:
 //!
-//! 1. [`pim_isa::DecodedProgram`] — the pre-decoded side tables (source
-//!    masks, destinations, hazards) shared by every executor;
-//! 2. the compiled kernel (`crate::compiled::CompiledKernel`) — the
-//!    threaded-code op table the per-DPU compiled loop executes, cached on
-//!    the [`Dpu`] across relaunches;
-//! 3. the per-DPU loops (`Dpu::run_scalar_fast` / `run_scalar_compiled`)
-//!    — one DPU, one launch, semantics unchanged;
-//! 4. this module — N same-program DPUs stepped out of one contiguous
-//!    state block, executing through the leader's compiled op table.
-//!
-//! The flattening PR 4 applied across tasklets is applied here across DPUs:
-//! the forwarding scoreboard becomes a single `Vec<u64>` indexed
-//! `d*T*24 + t*24 + r`, and every other per-tasklet array (`status`,
-//! `next_issue`, `ready_at`, `skip_dcache`) a single `Vec` indexed
-//! `d*T + t`. One shared [`CompiledKernel`] (the leader's relaunch cache)
-//! serves the whole batch — no per-batch program clone or re-decode —
-//! per-DPU reset allocations disappear, and the working set a core
-//! touches while sweeping stays contiguous.
+//! 1. the compiled kernel (`crate::compiled::CompiledKernel`) — the
+//!    threaded-code op table, cached on the [`Dpu`] across relaunches;
+//! 2. the scheduler step (`crate::sched::SchedState::step`) — one
+//!    scheduling event of one DPU's revolver pipeline, written once;
+//! 3. the per-DPU compiled loop (`Dpu::run_scalar_compiled`) — the step
+//!    run to completion on one DPU;
+//! 4. this module — N same-program DPUs stepped together, each with its
+//!    own `SchedState`, all executing the leader's compiled kernel (no
+//!    per-batch program clone or re-decode).
 //!
 //! DPUs share no architectural state during a kernel, so each batch member
-//! keeps its own event-driven timeline `now[d]`; a sweep advances every
-//! *active* DPU by one scheduling event of its own schedule. Divergence is
-//! handled by per-DPU retirement — a DPU that finishes (or faults) simply
-//! drops out of the active set. Because each member's step is an exact
-//! transliteration of the fast loop's iteration body, batched execution is
-//! byte-identical to per-DPU execution: same `DpuRunStats`, same memory
-//! end-state, regardless of batch size or membership. The differential
-//! tests (`tests/loop_differential.rs`) and the pim-fuzz gauntlet's `batch`
+//! keeps its own event-driven timeline; a sweep advances every *active*
+//! member by one step of its own schedule, and a member that finishes (or
+//! faults) drops out of the active set. Because every member runs the same
+//! step as the per-DPU loop, batched execution is byte-identical to
+//! per-DPU execution: same `DpuRunStats`, same memory end-state, regardless
+//! of batch size or membership. The differential tests
+//! (`tests/loop_differential.rs`) and the pim-fuzz gauntlet's `batch`
 //! invariant pin this.
 //!
-//! On top of the sweep sits the **lockstep fast path**, where the batched
-//! layout pays off: same-program DPUs whose inputs differ only in *data*
-//! make identical scheduling decisions (loop trips, DMA shapes, and branch
-//! directions usually depend on staged sizes, not values), so while the
-//! batch is *timing-convergent* the scheduler, the scoreboard, the memory
-//! engine, and the statistics run **once** — on the batch leader — and the
-//! followers replay only the functional execution of each issued
-//! instruction. Convergence is verified per instruction by comparing every
-//! member's [`Effect`] against the leader's (branch direction, DMA
-//! address/length, acquire outcome, and stop are all visible there — in
-//! scratchpad mode those are the only data-dependent timing inputs). On
-//! the first disagreement the shared state is materialized into every
-//! member's SoA row (plus a clone of the leader's engine and statistics,
-//! identical by the convergence invariant), the divergent cycle is
-//! completed per-DPU, and the batch permanently falls back to the sweep.
-//! Lockstep is therefore a pure prefix optimization: byte-identical by
-//! construction, with the fully-convergent case (the rank-scale sweep,
-//! `pim-fuzz` batch cases) never leaving the shared schedule.
+//! Before the sweep comes the **lockstep** prefix: same-program DPUs whose
+//! inputs differ only in *data* make identical scheduling decisions (loop
+//! trips, DMA shapes and branch directions usually depend on staged sizes,
+//! not values), so while the batch is *timing-convergent* the scheduler,
+//! the scoreboard, the memory engine and the statistics run **once** — on
+//! the leader — and the followers replay only the functional execution of
+//! each issued instruction. The step's execution hook checks convergence
+//! per instruction by comparing every member's `Effect` against the
+//! leader's (branch direction, DMA address/length, acquire outcome and
+//! stop are all visible there — in scratchpad mode those are the only
+//! data-dependent timing inputs). On the first disagreement the leader's
+//! `SchedState` is cloned into every member, each member finishes the
+//! divergent cycle with its own effect through `SchedState::resume`, and
+//! the batch falls back to the sweep. Lockstep is therefore a pure prefix
+//! optimization: byte-identical by construction, with the fully-convergent
+//! case (the rank-scale sweep, `pim-fuzz` batch cases) never leaving the
+//! shared schedule.
 //!
-//! Configurations the SoA stepper does not model (SIMT front-end, the naive
+//! Configurations the step does not model (SIMT front-end, the naive
 //! reference loop, event tracing) fall back to [`Dpu::launch`] per member,
 //! so [`run_batch`] is total over any population.
 
-use std::sync::Arc;
+use pim_trace::NullSink;
 
-use pim_cache::Cache;
-
-use crate::compiled::{CompiledKernel, CompiledOp, F_LOAD, F_STORE};
-use crate::config::{ExecTier, MemoryMode};
-use crate::dpu::{Dpu, TaskletStatus};
+use crate::compiled::CompiledOp;
+use crate::config::ExecTier;
+use crate::dpu::Dpu;
 use crate::error::SimError;
-use crate::exec::Effect;
-use crate::mem::{MemEngine, Segment};
+use crate::exec::{ArchState, Effect};
+use crate::sched::{Exec, SchedCtx, SchedState, Solo, Step};
 use crate::stats::DpuRunStats;
 
-const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
-
-/// Whether a DPU's configuration is modeled by the SoA stepper.
+/// Whether a DPU's configuration is modeled by the batch executor.
 ///
 /// SIMT front-ends, the naive reference loop, and event-traced runs keep
 /// their dedicated loops; [`run_batch`] launches such DPUs individually.
@@ -78,11 +63,11 @@ const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
 pub fn soa_eligible(dpu: &Dpu) -> bool {
     dpu.program.is_some()
         && dpu.cfg.simt.is_none()
-        && dpu.cfg.effective_exec_tier() != ExecTier::Naive
+        && dpu.cfg.exec_tier != ExecTier::Naive
         && dpu.cfg.event_trace_capacity == 0
 }
 
-/// Whether two DPUs can share one batch: both SoA-eligible, identical
+/// Whether two DPUs can share one batch: both eligible, identical
 /// configuration, identical instruction stream. (Data images, entry points
 /// and tasklet-id bases may differ — they live in per-DPU state.)
 fn compatible(a: &Dpu, b: &Dpu) -> bool {
@@ -93,8 +78,8 @@ fn compatible(a: &Dpu, b: &Dpu) -> bool {
 }
 
 /// Launches every DPU in the slice, batching maximal contiguous runs of
-/// same-program, same-configuration DPUs through the SoA stepper and
-/// falling back to [`Dpu::launch`] for the rest.
+/// same-program, same-configuration DPUs and falling back to
+/// [`Dpu::launch`] for the rest.
 ///
 /// Returns one result per DPU, in slice order. Timing, statistics, and
 /// memory end-state are byte-identical to calling [`Dpu::launch`] on each
@@ -120,852 +105,168 @@ pub fn run_batch(dpus: &mut [Dpu]) -> Vec<Result<DpuRunStats, SimError>> {
     results.into_iter().map(|r| r.expect("every DPU got a result")).collect()
 }
 
-/// Batch-wide immutable context: the leader's compiled kernel (program,
-/// decoded side tables, and threaded-code op table, shared via the
-/// relaunch cache) and every configuration-derived constant of the fast
-/// loop.
-struct BatchShared {
-    kernel: Arc<CompiledKernel>,
-    n_instrs: u32,
-    /// Tasklets per DPU (uniform across the batch).
-    n: usize,
-    fwd: bool,
-    unified_rf: bool,
-    ways: usize,
-    gap: u64,
-    fwd_alu: u64,
-    fwd_load: u64,
-    cached: bool,
-    iram_base: u32,
-    max_cycles: u64,
-    trace_limit: usize,
-    /// Seeded bug for the mutation self-check, sampled once per batch (the
-    /// per-DPU loop samples once per launch; the ambient value is
-    /// identical, so batch ≡ per-DPU holds under `--mutate` too).
-    #[cfg(feature = "mutation-hooks")]
-    drop_rf_hazard: bool,
-}
+type Slot = Option<Result<DpuRunStats, SimError>>;
 
-impl BatchShared {
-    /// Cycle at which every operand of the instruction at `pc` is
-    /// forwardable, given one tasklet's scoreboard row.
-    fn deps_ready_at(&self, pc: u32, row: &[u64]) -> u64 {
-        if !self.fwd {
-            return 0;
-        }
-        match self.kernel.decoded.get(pc) {
-            Some(d) => {
-                let mut mask = d.src_mask;
-                let mut latest = 0u64;
-                while mask != 0 {
-                    latest = latest.max(row[mask.trailing_zeros() as usize]);
-                    mask &= mask - 1;
-                }
-                latest
-            }
-            None => 0,
-        }
-    }
-}
-
-/// Mutable SoA state for one batch. Per-tasklet arrays are flattened
-/// across DPUs (`[d*T + t]`; the scoreboard `[d*T*24 + t*24 + r]`),
-/// per-DPU scalars are plain vectors (`[d]`), and the two scratch buffers
-/// are shared by every member (they carry no state across steps).
-struct BatchState {
-    status: Vec<TaskletStatus>,
-    next_issue: Vec<u64>,
-    reg_ready: Vec<u64>,
-    skip_dcache: Vec<bool>,
-    ready_at: Vec<u64>,
-    wake: Vec<u64>,
-    live: Vec<usize>,
-    now: Vec<u64>,
-    rf_block: Vec<u64>,
-    rr: Vec<usize>,
-    window_acc: Vec<(u64, u64)>,
-    done_buf: Vec<(u64, u64)>,
-    issuable: Vec<usize>,
-}
-
-impl BatchState {
-    fn new(n_dpus: usize, n_tasklets: usize) -> Self {
-        BatchState {
-            status: vec![TaskletStatus::Ready; n_dpus * n_tasklets],
-            next_issue: vec![0; n_dpus * n_tasklets],
-            reg_ready: vec![0; n_dpus * n_tasklets * NREGS],
-            skip_dcache: vec![false; n_dpus * n_tasklets],
-            ready_at: vec![0; n_dpus * n_tasklets],
-            wake: vec![0; n_dpus],
-            live: vec![n_tasklets; n_dpus],
-            now: vec![0; n_dpus],
-            rf_block: vec![0; n_dpus],
-            rr: vec![0; n_dpus],
-            window_acc: vec![(0, 0); n_dpus],
-            done_buf: Vec::with_capacity(n_tasklets),
-            issuable: Vec::with_capacity(n_tasklets),
-        }
-    }
-}
-
-/// Runs one compatible group to completion through the SoA stepper.
-fn run_group(group: &mut [Dpu], out: &mut [Option<Result<DpuRunStats, SimError>>]) {
-    let nd = group.len();
-    let cfg = group[0].cfg.clone();
-    let n = cfg.n_tasklets as usize;
-
+/// Runs one compatible group to completion.
+fn run_group(group: &mut [Dpu], out: &mut [Slot]) {
     // Reset every member before stepping any of them, exactly as a
     // sequence of individual launches would (the oracle snapshot must see
     // the post-reset, pre-run state).
-    let mut mems: Vec<MemEngine> = Vec::with_capacity(nd);
-    let mut oracles = Vec::with_capacity(nd);
+    let mut sched = Vec::with_capacity(group.len());
+    let mut oracles = Vec::with_capacity(group.len());
     for dpu in group.iter_mut() {
-        mems.push(dpu.reset_launch_state());
+        let mem = dpu.reset_launch_state();
         oracles.push(dpu.build_oracle());
+        sched.push(SchedState::new(dpu, mem));
     }
-
     let kernel = group[0].kernel_artifacts();
-    let sh = BatchShared {
-        n_instrs: kernel.instrs.len() as u32,
-        kernel,
-        n,
-        fwd: cfg.ilp.data_forwarding,
-        unified_rf: cfg.ilp.unified_rf,
-        ways: cfg.issue_ways() as usize,
-        gap: if cfg.ilp.data_forwarding { 1 } else { u64::from(cfg.revolver_cycles) },
-        fwd_alu: u64::from(cfg.forward_alu_latency),
-        fwd_load: u64::from(cfg.forward_load_latency),
-        cached: matches!(cfg.memory_mode, MemoryMode::Cached { .. }),
-        iram_base: group[0].iram_backing_base(),
-        max_cycles: cfg.max_cycles,
-        trace_limit: cfg.trace_limit,
-        #[cfg(feature = "mutation-hooks")]
-        drop_rf_hazard: crate::mutation::scoreboard_bug(),
-    };
+    let ctx = SchedCtx::new(&group[0], &kernel);
 
-    let mut icaches: Vec<Option<Cache>> = Vec::with_capacity(nd);
-    let mut dcaches: Vec<Option<Cache>> = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        match cfg.memory_mode {
-            MemoryMode::Scratchpad => {
-                icaches.push(None);
-                dcaches.push(None);
-            }
-            MemoryMode::Cached { icache, dcache } => {
-                icaches.push(Some(Cache::new(icache)));
-                dcaches.push(Some(Cache::new(dcache)));
-            }
-        }
-    }
-    let mut stats: Vec<DpuRunStats> = group.iter().map(Dpu::new_stats).collect();
-    let mut st = BatchState::new(nd, n);
-
-    // Lockstep fast path (scratchpad mode, uniform entry points): run the
-    // shared schedule on the leader until the members' effects disagree.
-    // Cached mode stays on the sweep — cache-fill timing depends on
-    // per-DPU load/store addresses, which the `Effect` comparison alone
-    // does not witness.
-    let mut active: Vec<usize>;
-    let lockstep = nd > 1
-        && !sh.cached
+    // Lockstep prefix (scratchpad mode, uniform entry points). Cached mode
+    // stays on the sweep — cache-fill timing depends on per-DPU load/store
+    // addresses, which the `Effect` comparison alone does not witness.
+    let lockstep = group.len() > 1
+        && !ctx.cached
         && group
             .split_first()
             .is_some_and(|(leader, rest)| rest.iter().all(|x| x.state.pc == leader.state.pc));
-    if lockstep {
-        match run_lockstep(group, &mut mems, &mut stats, &mut oracles, &sh, &mut st, out) {
-            LockstepEnd::Finished => return,
-            LockstepEnd::Diverged { survivors } => active = survivors,
-        }
+    let mut active = if lockstep {
+        run_lockstep(group, &mut sched, &mut oracles, &ctx, out)
     } else {
-        active = (0..nd).collect();
-    }
+        (0..group.len()).collect()
+    };
 
-    // Sweep all active DPUs; retire members as they finish or fault.
-    let mut next_active: Vec<usize> = Vec::with_capacity(nd);
+    // Sweep all active members; retire them as they finish or fault.
     while !active.is_empty() {
-        next_active.clear();
-        for &d in &active {
-            let stepped = step_dpu(
-                d,
-                &mut group[d],
-                &mut mems[d],
-                &mut icaches[d],
-                &mut dcaches[d],
-                &mut stats[d],
-                &sh,
-                &mut st,
-            );
-            match stepped {
-                Ok(false) => next_active.push(d),
-                Ok(true) => {
-                    let mut s = std::mem::take(&mut stats[d]);
-                    s.cycles = st.now[d];
-                    s.dram = *mems[d].bank().stats();
-                    s.mmu = mems[d].mmu().map(|m| *m.stats());
-                    s.icache = icaches[d].take().map(|c| *c.stats());
-                    s.dcache = dcaches[d].take().map(|c| *c.stats());
-                    s.dma_requests = mems[d].requests_issued;
-                    out[d] = Some(match oracles[d].take() {
-                        Some(oracle) => group[d].check_against_oracle(oracle).map(|()| s),
-                        None => Ok(s),
-                    });
+        active.retain(|&d| {
+            match sched[d].step(&ctx, &mut group[d].state, &mut Solo, &mut NullSink) {
+                Ok(Step::Running) => true,
+                Ok(Step::Done) => {
+                    out[d] = Some(validate(&group[d], oracles[d].take(), sched[d].finish()));
+                    false
                 }
-                Err(e) => out[d] = Some(Err(e)),
-            }
-        }
-        std::mem::swap(&mut active, &mut next_active);
-    }
-}
-
-/// How a lockstep run ended.
-enum LockstepEnd {
-    /// Every member retired (or errored) inside the shared schedule; `out`
-    /// is fully populated.
-    Finished,
-    /// The members' effects disagreed mid-cycle: the shared state has been
-    /// materialized into every member's SoA row and the divergent cycle
-    /// completed per-DPU; these members continue under the sweep.
-    Diverged {
-        /// Members still running (divergence-cycle faults are already in
-        /// `out` and excluded here).
-        survivors: Vec<usize>,
-    },
-}
-
-/// Runs a timing-convergent batch on the shared schedule: scheduling,
-/// scoreboard, memory-engine, and statistics work happen once — on row 0
-/// and the leader's engine/stats — while every member executes each issued
-/// instruction functionally. Convergence is checked per instruction by
-/// comparing all members' [`Effect`]s; the first disagreement hands off to
-/// [`diverge_and_finish_cycle`]. Scratchpad mode only (caller-gated): with
-/// no caches, the effect stream is the only data-dependent timing input.
-///
-/// Every phase is the same transliteration of the per-DPU fast loop that
-/// [`step_dpu`] uses, specialized to row 0.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn run_lockstep(
-    group: &mut [Dpu],
-    mems: &mut [MemEngine],
-    stats: &mut [DpuRunStats],
-    oracles: &mut [Option<pim_ref::RefInterpreter>],
-    sh: &BatchShared,
-    st: &mut BatchState,
-    out: &mut [Option<Result<DpuRunStats, SimError>>],
-) -> LockstepEnd {
-    let nd = group.len();
-    let n = sh.n;
-    let mut effects: Vec<Result<Effect, SimError>> = Vec::with_capacity(nd);
-    loop {
-        if st.live[0] == 0 {
-            // The whole batch ran one schedule: identical timing statistics
-            // for every member, individually-validated functional state.
-            for d in 0..nd {
-                let mut s = stats[0].clone();
-                s.cycles = st.now[0];
-                s.dram = *mems[0].bank().stats();
-                s.mmu = mems[0].mmu().map(|m| *m.stats());
-                s.dma_requests = mems[0].requests_issued;
-                out[d] = Some(match oracles[d].take() {
-                    Some(oracle) => group[d].check_against_oracle(oracle).map(|()| s),
-                    None => Ok(s),
-                });
-            }
-            return LockstepEnd::Finished;
-        }
-        let now = st.now[0];
-        if now >= sh.max_cycles {
-            for slot in out.iter_mut() {
-                *slot = Some(Err(SimError::CycleLimit { limit: sh.max_cycles }));
-            }
-            return LockstepEnd::Finished;
-        }
-        // 1. Memory completions — leader engine only (followers' engines
-        // would process the identical request stream and stay cloneable).
-        if mems[0].is_active() {
-            mems[0].advance(now);
-            mems[0].drain_done_into(&mut st.done_buf);
-            for &(token, at) in &st.done_buf {
-                let t = token as usize;
-                st.status[t] = TaskletStatus::Ready;
-                st.next_issue[t] = st.next_issue[t].max(at + 1);
-                let row = &st.reg_ready[t * NREGS..(t + 1) * NREGS];
-                st.ready_at[t] = st.next_issue[t].max(sh.deps_ready_at(group[0].state.pc[t], row));
-                st.wake[0] = st.wake[0].min(st.ready_at[t]);
-            }
-        }
-        // 2. Issuable set.
-        st.issuable.clear();
-        if now >= st.wake[0] {
-            for (t, &at) in st.ready_at[..n].iter().enumerate() {
-                if now >= at {
-                    st.issuable.push(t);
-                }
-            }
-        }
-        // 3. Register-file structural block.
-        if st.rf_block[0] > 0 {
-            stats[0].record_tlp_span(st.issuable.len(), 1, &mut st.window_acc[0]);
-            stats[0].idle_rf += 1.0;
-            st.rf_block[0] -= 1;
-            st.now[0] = now + 1;
-            continue;
-        }
-        // 4. Idle fast-forward.
-        if st.issuable.is_empty() {
-            let n_sched =
-                st.status[..n].iter().filter(|s| **s == TaskletStatus::Ready).count() as f64;
-            let n_mem =
-                st.status[..n].iter().filter(|s| **s == TaskletStatus::Blocked).count() as f64;
-            let mut next = st.ready_at[..n].iter().copied().min().unwrap_or(u64::MAX);
-            st.wake[0] = next;
-            if let Some(e) = mems[0].next_event(now) {
-                next = next.min(e);
-            }
-            let next = if next == u64::MAX || next <= now { now + 1 } else { next };
-            let span = (next - now).min(sh.max_cycles - now);
-            stats[0].record_tlp_span(0, span, &mut st.window_acc[0]);
-            let tot = (n_sched + n_mem).max(1.0);
-            stats[0].idle_memory += span as f64 * n_mem / tot;
-            stats[0].idle_revolver += span as f64 * n_sched / tot;
-            st.now[0] = now + span;
-            continue;
-        }
-        stats[0].record_tlp_span(st.issuable.len(), 1, &mut st.window_acc[0]);
-        // 5. Issue up to `ways` instructions, round-robin: every member
-        // executes, the leader keeps the books.
-        let start = st.issuable.iter().position(|&t| t >= st.rr[0]).unwrap_or(0);
-        let mut issued = 0usize;
-        for k in 0..st.issuable.len() {
-            if issued == sh.ways {
-                break;
-            }
-            let t = st.issuable[(start + k) % st.issuable.len()];
-            if st.status[t] != TaskletStatus::Ready {
-                continue;
-            }
-            let pc = group[0].state.pc[t];
-            if pc >= sh.n_instrs {
-                for slot in out.iter_mut() {
-                    *slot = Some(Err(SimError::PcOutOfRange { pc, tasklet: t as u32 }));
-                }
-                return LockstepEnd::Finished;
-            }
-            let op = sh.kernel.ops[pc as usize];
-            let hazard = if sh.unified_rf { 0 } else { u64::from(op.rf_hazard) };
-            #[cfg(feature = "mutation-hooks")]
-            let hazard = if sh.drop_rf_hazard { 0 } else { hazard };
-            if stats[0].trace.len() < sh.trace_limit {
-                stats[0].trace.push(crate::stats::TraceEntry {
-                    cycle: now,
-                    tasklet: t as u32,
-                    pc,
-                    text: sh.kernel.instrs[pc as usize].to_string(),
-                });
-            }
-            effects.clear();
-            for dpu in group.iter_mut() {
-                effects.push((op.exec)(&mut dpu.state, t as u32, pc, &op));
-            }
-            let convergent = match &effects[0] {
-                Ok(e0) => effects[1..].iter().all(|r| matches!(r, Ok(e) if e == e0)),
-                Err(_) => false,
-            };
-            if !convergent {
-                let survivors = diverge_and_finish_cycle(
-                    group,
-                    mems,
-                    stats,
-                    sh,
-                    st,
-                    out,
-                    &mut effects,
-                    t,
-                    pc,
-                    op,
-                    hazard,
-                    start,
-                    k + 1,
-                    issued,
-                );
-                return LockstepEnd::Diverged { survivors };
-            }
-            let effect = match effects[0] {
-                Ok(e) => e,
-                Err(_) => unreachable!("convergence implies every member is Ok"),
-            };
-            stats[0].count_instruction_idx(op.class_idx as usize, t as u32);
-            st.next_issue[t] = now + sh.gap;
-            if sh.fwd {
-                if let Some(rd) = op.dst() {
-                    let lat = if op.is_load() { sh.fwd_load } else { sh.fwd_alu };
-                    st.reg_ready[t * NREGS + rd as usize] = now + lat;
-                }
-            }
-            match effect {
-                Effect::Advance => {
-                    for dpu in group.iter_mut() {
-                        dpu.state.pc[t] = pc + 1;
-                    }
-                }
-                Effect::Jump(target) => {
-                    for dpu in group.iter_mut() {
-                        dpu.state.pc[t] = target;
-                    }
-                }
-                Effect::AcquireRetry => {}
-                Effect::Stop => {
-                    st.status[t] = TaskletStatus::Stopped;
-                    stats[0].tasklet_stop_cycle[t] = now;
-                    st.live[0] -= 1;
-                }
-                Effect::Dma { mram, len, write } => {
-                    for dpu in group.iter_mut() {
-                        dpu.state.pc[t] = pc + 1;
-                    }
-                    st.status[t] = TaskletStatus::Blocked;
-                    mems[0].issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
-                }
-            }
-            if st.status[t] == TaskletStatus::Ready {
-                let row = &st.reg_ready[t * NREGS..(t + 1) * NREGS];
-                st.ready_at[t] = st.next_issue[t].max(sh.deps_ready_at(group[0].state.pc[t], row));
-                st.wake[0] = st.wake[0].min(st.ready_at[t]);
-            } else {
-                st.ready_at[t] = u64::MAX;
-            }
-            issued += 1;
-            st.rr[0] = t + 1;
-            if hazard > 0 {
-                st.rf_block[0] = hazard;
-                break;
-            }
-        }
-        if issued > 0 {
-            stats[0].active_cycles += 1;
-        } else {
-            stats[0].idle_memory += 1.0;
-        }
-        st.now[0] = now + 1;
-    }
-}
-
-/// Handles the first effect disagreement of a lockstep run: replicates the
-/// shared scheduling state (row 0), the leader's engine, and the leader's
-/// statistics into every member — all identical by the convergence
-/// invariant, captured *before* the divergent instruction's bookkeeping —
-/// then finishes the divergent instruction and the rest of its cycle
-/// per-DPU. Members whose `execute` faulted retire with their error, per
-/// the per-DPU loop's semantics.
-///
-/// Returns the members that continue under the sweep.
-#[allow(clippy::too_many_arguments)]
-fn diverge_and_finish_cycle(
-    group: &mut [Dpu],
-    mems: &mut [MemEngine],
-    stats: &mut [DpuRunStats],
-    sh: &BatchShared,
-    st: &mut BatchState,
-    out: &mut [Option<Result<DpuRunStats, SimError>>],
-    effects: &mut Vec<Result<Effect, SimError>>,
-    t: usize,
-    pc: u32,
-    op: CompiledOp,
-    hazard: u64,
-    start: usize,
-    next_k: usize,
-    issued_before: usize,
-) -> Vec<usize> {
-    let nd = group.len();
-    let n = sh.n;
-    let now = st.now[0];
-    for d in 1..nd {
-        st.status.copy_within(0..n, d * n);
-        st.next_issue.copy_within(0..n, d * n);
-        st.skip_dcache.copy_within(0..n, d * n);
-        st.ready_at.copy_within(0..n, d * n);
-        st.reg_ready.copy_within(0..n * NREGS, d * n * NREGS);
-        st.wake[d] = st.wake[0];
-        st.live[d] = st.live[0];
-        st.now[d] = st.now[0];
-        st.rf_block[d] = st.rf_block[0];
-        st.rr[d] = st.rr[0];
-        st.window_acc[d] = st.window_acc[0];
-        mems[d] = mems[0].clone();
-        stats[d] = stats[0].clone();
-    }
-    let mut survivors = Vec::with_capacity(nd);
-    for (d, res) in effects.drain(..).enumerate() {
-        let effect = match res {
-            Ok(e) => e,
-            Err(e) => {
-                out[d] = Some(Err(e));
-                continue;
-            }
-        };
-        let tb = d * n;
-        let rb = d * n * NREGS;
-        // Post-execute bookkeeping of the divergent instruction with this
-        // member's own effect (the tail of `step_dpu`'s issue body).
-        stats[d].count_instruction_idx(op.class_idx as usize, t as u32);
-        st.next_issue[tb + t] = now + sh.gap;
-        if sh.fwd {
-            if let Some(rd) = op.dst() {
-                let lat = if op.is_load() { sh.fwd_load } else { sh.fwd_alu };
-                st.reg_ready[rb + t * NREGS + rd as usize] = now + lat;
-            }
-        }
-        match effect {
-            Effect::Advance => group[d].state.pc[t] = pc + 1,
-            Effect::Jump(target) => group[d].state.pc[t] = target,
-            Effect::AcquireRetry => {}
-            Effect::Stop => {
-                st.status[tb + t] = TaskletStatus::Stopped;
-                stats[d].tasklet_stop_cycle[t] = now;
-                st.live[d] -= 1;
-            }
-            Effect::Dma { mram, len, write } => {
-                group[d].state.pc[t] = pc + 1;
-                st.status[tb + t] = TaskletStatus::Blocked;
-                mems[d].issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
-            }
-        }
-        if st.status[tb + t] == TaskletStatus::Ready {
-            let row = &st.reg_ready[rb + t * NREGS..rb + (t + 1) * NREGS];
-            st.ready_at[tb + t] =
-                st.next_issue[tb + t].max(sh.deps_ready_at(group[d].state.pc[t], row));
-            st.wake[d] = st.wake[d].min(st.ready_at[tb + t]);
-        } else {
-            st.ready_at[tb + t] = u64::MAX;
-        }
-        let mut issued = issued_before + 1;
-        st.rr[d] = t + 1;
-        if hazard > 0 {
-            st.rf_block[d] = hazard;
-        } else {
-            match finish_cycle_tail(
-                d,
-                &mut group[d],
-                &mut mems[d],
-                &mut stats[d],
-                sh,
-                st,
-                start,
-                next_k,
-                issued,
-            ) {
-                Ok(total) => issued = total,
+                Ok(Step::Diverged(_)) => unreachable!("a solo step cannot diverge"),
                 Err(e) => {
                     out[d] = Some(Err(e));
-                    continue;
+                    false
                 }
             }
+        });
+    }
+}
+
+/// A finished member's result: its statistics once its end state passes the
+/// functional oracle (when the oracle check is on).
+fn validate(
+    dpu: &Dpu,
+    oracle: Option<pim_ref::RefInterpreter>,
+    stats: DpuRunStats,
+) -> Result<DpuRunStats, SimError> {
+    match oracle {
+        Some(oracle) => dpu.check_against_oracle(oracle).map(|()| stats),
+        None => Ok(stats),
+    }
+}
+
+/// The lockstep execution hook: executes each issued instruction on the
+/// leader's state and every follower's, and reports a divergence unless all
+/// members produced the same [`Effect`]. On convergence the followers' PCs
+/// follow the leader's.
+struct Lockstep<'a> {
+    followers: &'a mut [Dpu],
+    /// Every member's result for the last executed instruction, leader
+    /// first.
+    effects: Vec<Result<Effect, SimError>>,
+}
+
+impl Exec for Lockstep<'_> {
+    fn exec(
+        &mut self,
+        state: &mut ArchState,
+        t: u32,
+        pc: u32,
+        op: &CompiledOp,
+    ) -> Result<Option<Effect>, SimError> {
+        self.effects.clear();
+        self.effects.push((op.exec)(state, t, pc, op));
+        for dpu in self.followers.iter_mut() {
+            self.effects.push((op.exec)(&mut dpu.state, t, pc, op));
         }
-        if issued > 0 {
-            stats[d].active_cycles += 1;
-        } else {
-            stats[d].idle_memory += 1.0;
+        let effect = match &self.effects[0] {
+            Ok(e0) if self.effects[1..].iter().all(|r| matches!(r, Ok(e) if e == e0)) => *e0,
+            _ => return Ok(None),
+        };
+        let next_pc = match effect {
+            Effect::Advance | Effect::Dma { .. } => pc + 1,
+            Effect::Jump(target) => target,
+            Effect::AcquireRetry | Effect::Stop => pc,
+        };
+        for dpu in self.followers.iter_mut() {
+            dpu.state.pc[t as usize] = next_pc;
         }
-        st.now[d] = now + 1;
-        survivors.push(d);
+        Ok(Some(effect))
+    }
+}
+
+/// Runs a timing-convergent batch on the leader's schedule (`sched[0]`)
+/// until every member finishes or their effects disagree. On disagreement
+/// the leader's state is cloned into every member and each finishes the
+/// divergent cycle with its own effect; members whose execution faulted
+/// retire with their error, per the per-DPU loop's semantics.
+///
+/// Returns the members that continue under the sweep (none when the batch
+/// finished in lockstep; `out` then holds every result).
+fn run_lockstep(
+    group: &mut [Dpu],
+    sched: &mut [SchedState],
+    oracles: &mut [Option<pim_ref::RefInterpreter>],
+    ctx: &SchedCtx,
+    out: &mut [Slot],
+) -> Vec<usize> {
+    let (leader, followers) = group.split_first_mut().expect("non-empty batch");
+    let mut hook = Lockstep { followers, effects: Vec::with_capacity(out.len()) };
+    let at = loop {
+        match sched[0].step(ctx, &mut leader.state, &mut hook, &mut NullSink) {
+            Ok(Step::Running) => {}
+            Ok(Step::Done) => {
+                // The whole batch ran one schedule: identical timing
+                // statistics for every member, individually-validated
+                // functional state.
+                let stats = sched[0].finish();
+                for (d, slot) in out.iter_mut().enumerate() {
+                    *slot = Some(validate(&group[d], oracles[d].take(), stats.clone()));
+                }
+                return Vec::new();
+            }
+            Ok(Step::Diverged(at)) => break at,
+            Err(e) => {
+                for slot in out.iter_mut() {
+                    *slot = Some(Err(e.clone()));
+                }
+                return Vec::new();
+            }
+        }
+    };
+    let effects = hook.effects;
+    for d in 1..sched.len() {
+        sched[d] = sched[0].clone();
+    }
+    let mut survivors = Vec::with_capacity(out.len());
+    for (d, effect) in effects.into_iter().enumerate() {
+        let resumed =
+            effect.and_then(|e| sched[d].resume(ctx, &mut group[d].state, &mut NullSink, at, e));
+        match resumed {
+            Ok(_) => survivors.push(d),
+            Err(e) => out[d] = Some(Err(e)),
+        }
     }
     survivors
-}
-
-/// Finishes the remaining round-robin candidates of a divergence cycle for
-/// one member — the rest of `step_dpu`'s issue loop, scratchpad-mode
-/// specialization, operating on the member's freshly materialized row.
-#[allow(clippy::too_many_arguments)]
-fn finish_cycle_tail(
-    d: usize,
-    dpu: &mut Dpu,
-    mem: &mut MemEngine,
-    stats: &mut DpuRunStats,
-    sh: &BatchShared,
-    st: &mut BatchState,
-    start: usize,
-    from_k: usize,
-    mut issued: usize,
-) -> Result<usize, SimError> {
-    let n = sh.n;
-    let tb = d * n;
-    let rb = d * n * NREGS;
-    let now = st.now[d];
-    for k in from_k..st.issuable.len() {
-        if issued == sh.ways {
-            break;
-        }
-        let t = st.issuable[(start + k) % st.issuable.len()];
-        if st.status[tb + t] != TaskletStatus::Ready {
-            continue;
-        }
-        let pc = dpu.state.pc[t];
-        if pc >= sh.n_instrs {
-            return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
-        }
-        let op = sh.kernel.ops[pc as usize];
-        let hazard = if sh.unified_rf { 0 } else { u64::from(op.rf_hazard) };
-        #[cfg(feature = "mutation-hooks")]
-        let hazard = if sh.drop_rf_hazard { 0 } else { hazard };
-        if stats.trace.len() < sh.trace_limit {
-            stats.trace.push(crate::stats::TraceEntry {
-                cycle: now,
-                tasklet: t as u32,
-                pc,
-                text: sh.kernel.instrs[pc as usize].to_string(),
-            });
-        }
-        let effect = (op.exec)(&mut dpu.state, t as u32, pc, &op)?;
-        stats.count_instruction_idx(op.class_idx as usize, t as u32);
-        st.next_issue[tb + t] = now + sh.gap;
-        if sh.fwd {
-            if let Some(rd) = op.dst() {
-                let lat = if op.is_load() { sh.fwd_load } else { sh.fwd_alu };
-                st.reg_ready[rb + t * NREGS + rd as usize] = now + lat;
-            }
-        }
-        match effect {
-            Effect::Advance => dpu.state.pc[t] = pc + 1,
-            Effect::Jump(target) => dpu.state.pc[t] = target,
-            Effect::AcquireRetry => {}
-            Effect::Stop => {
-                st.status[tb + t] = TaskletStatus::Stopped;
-                stats.tasklet_stop_cycle[t] = now;
-                st.live[d] -= 1;
-            }
-            Effect::Dma { mram, len, write } => {
-                dpu.state.pc[t] = pc + 1;
-                st.status[tb + t] = TaskletStatus::Blocked;
-                mem.issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
-            }
-        }
-        if st.status[tb + t] == TaskletStatus::Ready {
-            let row = &st.reg_ready[rb + t * NREGS..rb + (t + 1) * NREGS];
-            st.ready_at[tb + t] = st.next_issue[tb + t].max(sh.deps_ready_at(dpu.state.pc[t], row));
-            st.wake[d] = st.wake[d].min(st.ready_at[tb + t]);
-        } else {
-            st.ready_at[tb + t] = u64::MAX;
-        }
-        issued += 1;
-        st.rr[d] = t + 1;
-        if hazard > 0 {
-            st.rf_block[d] = hazard;
-            break;
-        }
-    }
-    Ok(issued)
-}
-
-/// Advances one batch member by one scheduling event of its own timeline —
-/// an exact transliteration of one iteration of the per-DPU fast loop
-/// (`Dpu::run_scalar_fast` with the null trace sink), reading and writing
-/// the member's slices of the batch SoA arrays.
-///
-/// Returns `Ok(true)` when the member has finished (all tasklets stopped).
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn step_dpu(
-    d: usize,
-    dpu: &mut Dpu,
-    mem: &mut MemEngine,
-    icache: &mut Option<Cache>,
-    dcache: &mut Option<Cache>,
-    stats: &mut DpuRunStats,
-    sh: &BatchShared,
-    st: &mut BatchState,
-) -> Result<bool, SimError> {
-    let n = sh.n;
-    let tb = d * n;
-    let rb = d * n * NREGS;
-    if st.live[d] == 0 {
-        return Ok(true);
-    }
-    let now = st.now[d];
-    if now >= sh.max_cycles {
-        return Err(SimError::CycleLimit { limit: sh.max_cycles });
-    }
-    // 1. Memory completions (skipped while the engine holds no
-    // outstanding request — `advance` would be a no-op).
-    if mem.is_active() {
-        mem.advance(now);
-        mem.drain_done_into(&mut st.done_buf);
-        for &(token, at) in &st.done_buf {
-            let t = token as usize;
-            st.status[tb + t] = TaskletStatus::Ready;
-            st.next_issue[tb + t] = st.next_issue[tb + t].max(at + 1);
-            let row = &st.reg_ready[rb + t * NREGS..rb + (t + 1) * NREGS];
-            st.ready_at[tb + t] = st.next_issue[tb + t].max(sh.deps_ready_at(dpu.state.pc[t], row));
-            st.wake[d] = st.wake[d].min(st.ready_at[tb + t]);
-        }
-    }
-    // 2. Issuable set — scan skipped while `now < wake` proves it empty.
-    st.issuable.clear();
-    if now >= st.wake[d] {
-        for (t, &at) in st.ready_at[tb..tb + n].iter().enumerate() {
-            if now >= at {
-                st.issuable.push(t);
-            }
-        }
-    }
-    // 3. Register-file structural block.
-    if st.rf_block[d] > 0 {
-        stats.record_tlp_span(st.issuable.len(), 1, &mut st.window_acc[d]);
-        stats.idle_rf += 1.0;
-        st.rf_block[d] -= 1;
-        st.now[d] = now + 1;
-        return Ok(false);
-    }
-    // 4. Nothing to issue: attribute the idle span across the per-tasklet
-    // wait reasons, then fast-forward to the next possible event.
-    if st.issuable.is_empty() {
-        let n_sched =
-            st.status[tb..tb + n].iter().filter(|s| **s == TaskletStatus::Ready).count() as f64;
-        let n_mem =
-            st.status[tb..tb + n].iter().filter(|s| **s == TaskletStatus::Blocked).count() as f64;
-        let mut next = st.ready_at[tb..tb + n].iter().copied().min().unwrap_or(u64::MAX);
-        st.wake[d] = next;
-        if let Some(e) = mem.next_event(now) {
-            next = next.min(e);
-        }
-        let next = if next == u64::MAX || next <= now { now + 1 } else { next };
-        let span = (next - now).min(sh.max_cycles - now);
-        stats.record_tlp_span(0, span, &mut st.window_acc[d]);
-        let tot = (n_sched + n_mem).max(1.0);
-        stats.idle_memory += span as f64 * n_mem / tot;
-        stats.idle_revolver += span as f64 * n_sched / tot;
-        st.now[d] = now + span;
-        return Ok(false);
-    }
-    stats.record_tlp_span(st.issuable.len(), 1, &mut st.window_acc[d]);
-    // 5. Issue up to `ways` instructions, round-robin.
-    let start = st.issuable.iter().position(|&t| t >= st.rr[d]).unwrap_or(0);
-    let mut issued = 0usize;
-    for k in 0..st.issuable.len() {
-        if issued == sh.ways {
-            break;
-        }
-        let t = st.issuable[(start + k) % st.issuable.len()];
-        if st.status[tb + t] != TaskletStatus::Ready {
-            continue;
-        }
-        let pc = dpu.state.pc[t];
-        if pc >= sh.n_instrs {
-            return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
-        }
-        // Instruction fetch through the I-cache (cache-centric mode).
-        if let Some(ic) = icache.as_mut() {
-            let fetch_addr = sh.iram_base + pc * pim_isa::layout::IRAM_INSTR_BYTES;
-            let out = ic.access(fetch_addr, false);
-            if !out.hit {
-                st.status[tb + t] = TaskletStatus::Blocked;
-                st.ready_at[tb + t] = u64::MAX;
-                let line = out.fill_line.expect("miss has a fill");
-                let bytes = ic.config().line_bytes;
-                mem.issue(t as u64, &[Segment { addr: line, bytes, write: false }], now);
-                continue;
-            }
-        }
-        let op = sh.kernel.ops[pc as usize];
-        if sh.cached && op.is_dma() {
-            return Err(SimError::DmaInCachedMode { pc, tasklet: t as u32 });
-        }
-        // Data access through the D-cache (cache-centric mode). The
-        // effective address comes from the pre-extracted base/offset
-        // (identical to `ArchState::ls_addr` on the instruction).
-        if let Some(dc) = dcache.as_mut() {
-            if op.flags & (F_LOAD | F_STORE) != 0 {
-                let addr = dpu.state.regs[t][op.b as usize].wrapping_add(op.imm as u32);
-                let write = op.flags & F_STORE != 0;
-                if st.skip_dcache[tb + t] {
-                    st.skip_dcache[tb + t] = false;
-                } else {
-                    let out = dc.access(addr, write);
-                    if !out.hit {
-                        st.status[tb + t] = TaskletStatus::Blocked;
-                        st.ready_at[tb + t] = u64::MAX;
-                        st.skip_dcache[tb + t] = true;
-                        let line_bytes = dc.config().line_bytes;
-                        let fill = Segment {
-                            addr: out.fill_line.expect("miss has a fill"),
-                            bytes: line_bytes,
-                            write: false,
-                        };
-                        let mut segs = [fill, fill];
-                        let mut n_segs = 1;
-                        if let Some(wb) = out.writeback_line {
-                            segs[1] = Segment { addr: wb, bytes: line_bytes, write: true };
-                            n_segs = 2;
-                        }
-                        mem.issue(t as u64, &segs[..n_segs], now);
-                        continue;
-                    }
-                }
-            }
-        }
-        // Register-file structural hazard (even/odd banks).
-        let hazard = if sh.unified_rf { 0 } else { u64::from(op.rf_hazard) };
-        #[cfg(feature = "mutation-hooks")]
-        let hazard = if sh.drop_rf_hazard { 0 } else { hazard };
-        if stats.trace.len() < sh.trace_limit {
-            stats.trace.push(crate::stats::TraceEntry {
-                cycle: now,
-                tasklet: t as u32,
-                pc,
-                text: sh.kernel.instrs[pc as usize].to_string(),
-            });
-        }
-        let effect = (op.exec)(&mut dpu.state, t as u32, pc, &op)?;
-        stats.count_instruction_idx(op.class_idx as usize, t as u32);
-        st.next_issue[tb + t] = now + sh.gap;
-        if sh.fwd {
-            if let Some(rd) = op.dst() {
-                let lat = if op.is_load() { sh.fwd_load } else { sh.fwd_alu };
-                st.reg_ready[rb + t * NREGS + rd as usize] = now + lat;
-            }
-        }
-        match effect {
-            Effect::Advance => dpu.state.pc[t] = pc + 1,
-            Effect::Jump(target) => dpu.state.pc[t] = target,
-            Effect::AcquireRetry => {}
-            Effect::Stop => {
-                st.status[tb + t] = TaskletStatus::Stopped;
-                stats.tasklet_stop_cycle[t] = now;
-                st.live[d] -= 1;
-            }
-            Effect::Dma { mram, len, write } => {
-                dpu.state.pc[t] = pc + 1;
-                st.status[tb + t] = TaskletStatus::Blocked;
-                mem.issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
-            }
-        }
-        // Refresh the wakeup entry for the new PC / issue window.
-        if st.status[tb + t] == TaskletStatus::Ready {
-            let row = &st.reg_ready[rb + t * NREGS..rb + (t + 1) * NREGS];
-            st.ready_at[tb + t] = st.next_issue[tb + t].max(sh.deps_ready_at(dpu.state.pc[t], row));
-            st.wake[d] = st.wake[d].min(st.ready_at[tb + t]);
-        } else {
-            st.ready_at[tb + t] = u64::MAX;
-        }
-        issued += 1;
-        st.rr[d] = t + 1;
-        if hazard > 0 {
-            // The split register file blocks the issue stage.
-            st.rf_block[d] = hazard;
-            break;
-        }
-    }
-    if issued > 0 {
-        stats.active_cycles += 1;
-    } else {
-        // Every candidate stalled on a cache fill this cycle.
-        stats.idle_memory += 1.0;
-    }
-    st.now[d] = now + 1;
-    Ok(false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DpuConfig;
+    use crate::config::{DpuConfig, IlpFeatures};
     use pim_asm::assemble;
 
     fn kernel(imm: i32) -> pim_asm::DpuProgram {
@@ -1005,16 +306,15 @@ mod tests {
         }
     }
 
-    /// Branches on a value pulled from MRAM, so members with different
-    /// inputs leave lockstep mid-kernel and must be materialized into
-    /// their own SoA rows without losing a cycle of timing fidelity.
+    /// Branches on the word the host staged at WRAM 1024, so members with
+    /// different inputs leave lockstep mid-kernel and must each get their
+    /// own scheduler state without losing a cycle of timing fidelity.
     fn divergent_kernel() -> pim_asm::DpuProgram {
         assemble(
             r#"
             .text
             movi r0, 0
             movi r1, 1024
-            ldma r1, r0, 8
             lw   r2, 0(r1)
             bne  r2, 0, odd
             movi r3, 100
@@ -1023,7 +323,7 @@ mod tests {
             sdma r1, r0, 8
             stop
         odd:
-            movi r3, 7
+            movi r3, 100
         spin:
             sub  r3, r3, 1
             bne  r3, 0, spin
@@ -1035,29 +335,77 @@ mod tests {
         .unwrap()
     }
 
+    /// Loads the word staged at WRAM 1024 and loads again *through* it, so
+    /// a member staged with an address past WRAM faults on an instruction
+    /// every other member executes cleanly.
+    fn faulting_kernel() -> pim_asm::DpuProgram {
+        assemble(
+            r#"
+            .text
+            movi r0, 0
+            movi r1, 1024
+            lw   r2, 0(r1)
+            lw   r3, 0(r2)
+            add  r3, r3, 1
+            sw   r3, 4(r1)
+            sdma r1, r0, 8
+            stop
+        "#,
+        )
+        .unwrap()
+    }
+
+    /// Runs `program` as one batch and as individual launches, member `i`
+    /// staged with `inputs[i]` at WRAM 1024, and asserts every member's
+    /// result (stats or error) and MRAM image match. Returns the batch
+    /// results.
+    fn assert_batch_matches_solo(
+        cfg: &DpuConfig,
+        program: &pim_asm::DpuProgram,
+        inputs: &[u32],
+    ) -> Vec<Result<DpuRunStats, SimError>> {
+        let fresh = || -> Vec<Dpu> {
+            inputs
+                .iter()
+                .map(|input| {
+                    let mut dpu = Dpu::new(cfg.clone());
+                    dpu.load_program(program).unwrap();
+                    dpu.write_wram(1024, &input.to_le_bytes());
+                    dpu
+                })
+                .collect()
+        };
+        let (mut batched, mut solo) = (fresh(), fresh());
+        let batch_results = run_batch(&mut batched);
+        for (i, (b, s)) in batch_results.iter().zip(solo.iter_mut()).enumerate() {
+            let want = s.launch();
+            assert_eq!(format!("{b:?}"), format!("{want:?}"), "member {i}");
+            assert_eq!(batched[i].read_mram(0, 8), s.read_mram(0, 8), "member {i}");
+        }
+        batch_results
+    }
+
     #[test]
     fn mid_kernel_divergence_matches_individual_launches() {
-        let cfg = DpuConfig::paper_baseline(4);
-        let program = divergent_kernel();
         // Members 0-1 take the even path, 2-3 spin on the odd path: the
         // batch starts convergent (identical pcs) and splits at the `bne`.
-        let inputs = [0u32, 0, 5, 9];
-        let mut batched: Vec<Dpu> = (0..4).map(|_| Dpu::new(cfg.clone())).collect();
-        let mut solo: Vec<Dpu> = (0..4).map(|_| Dpu::new(cfg.clone())).collect();
-        for (i, dpu) in batched.iter_mut().chain(solo.iter_mut()).enumerate() {
-            dpu.load_program(&program).unwrap();
-            dpu.write_mram(0, &inputs[i % 4].to_le_bytes());
+        // Under the ILP features several tasklets issue per cycle, so the
+        // split lands mid-cycle and each member finishes the cycle's
+        // remaining candidates on its own.
+        let program = divergent_kernel();
+        let baseline = DpuConfig::paper_baseline(4);
+        for cfg in [baseline.clone(), baseline.clone().with_ilp(IlpFeatures::all())] {
+            let stats = assert_batch_matches_solo(&cfg, &program, &[0, 0, 5, 9]);
+            // The two paths really do take different time.
+            let c0 = stats[0].as_ref().unwrap().cycles;
+            let c2 = stats[2].as_ref().unwrap().cycles;
+            assert_ne!(c0, c2, "odd path must cost different cycles");
         }
-        let batch_stats = run_batch(&mut batched);
-        for ((b, bd), s) in batch_stats.iter().zip(batched.iter()).zip(solo.iter_mut()) {
-            let want = s.launch().unwrap();
-            assert_eq!(format!("{:?}", b.as_ref().unwrap()), format!("{want:?}"));
-            assert_eq!(bd.read_mram(0, 8), s.read_mram(0, 8));
-        }
-        // The two paths really do take different time.
-        let c0 = batch_stats[0].as_ref().unwrap().cycles;
-        let c2 = batch_stats[2].as_ref().unwrap().cycles;
-        assert_ne!(c0, c2, "odd path must cost different cycles");
+        // Member 2's divergent instruction faults: it retires with the
+        // error an individual launch reports, the others run to the end.
+        let stats = assert_batch_matches_solo(&baseline, &faulting_kernel(), &[0, 4, 1 << 20, 8]);
+        assert!(matches!(stats[2], Err(SimError::OutOfBounds { .. })), "{:?}", stats[2]);
+        assert!(stats.iter().enumerate().all(|(i, r)| i == 2 || r.is_ok()));
     }
 
     #[test]

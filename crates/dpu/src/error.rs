@@ -94,6 +94,17 @@ pub enum SimError {
         /// DPUs in the system (one chunk per DPU is required).
         n_dpus: u32,
     },
+    /// A host transfer's byte range `[addr, addr + len)` runs past the end
+    /// of its target: the MRAM bank, or — for a symbol push — the WRAM
+    /// symbol at `addr`. Rejected before any DPU is touched.
+    TransferOutOfRange {
+        /// First byte of the transfer.
+        addr: u32,
+        /// Transfer length in bytes.
+        len: u64,
+        /// Size of the target in bytes (the MRAM bank or the symbol).
+        size: u32,
+    },
     /// The `pim-ref` functional oracle disagreed with the simulator about
     /// the final architectural state (enabled by
     /// [`crate::DpuConfig::with_oracle_check`]).
@@ -161,6 +172,10 @@ impl fmt::Display for SimError {
             SimError::ChunkCountMismatch { chunks, n_dpus } => write!(
                 f,
                 "parallel transfer supplied {chunks} chunks for {n_dpus} DPUs (one chunk per DPU)"
+            ),
+            SimError::TransferOutOfRange { addr, len, size } => write!(
+                f,
+                "host transfer of {len} bytes at {addr:#x} runs past its {size}-byte target"
             ),
             SimError::OracleDivergence { detail } => {
                 write!(f, "functional-oracle divergence: {detail}")

@@ -64,6 +64,7 @@ pub mod fault;
 mod mem;
 #[cfg(feature = "mutation-hooks")]
 pub mod mutation;
+mod sched;
 mod simt;
 pub mod stats;
 pub mod tenancy;

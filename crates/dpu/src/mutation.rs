@@ -2,9 +2,9 @@
 //!
 //! A conformance fuzzer is only trustworthy if it demonstrably catches the
 //! class of bug it exists for. This module provides a single seeded bug —
-//! dropping the even/odd register-file structural hazard in the optimized
-//! scalar loop — behind a process-global switch that `pim-fuzz --mutate`
-//! flips before running a campaign. With the bug armed, the fast loop
+//! dropping the even/odd register-file structural hazard in the compiled
+//! scheduler step — behind a process-global switch that `pim-fuzz
+//! --mutate` flips before running a campaign. With the bug armed, the step
 //! under-counts issue slots for same-bank source pairs, so any program
 //! with an RF hazard diverges from the naive reference loop in cycle
 //! counts and stall attribution.

@@ -267,7 +267,7 @@ mod tests {
                 launches: 2,
             },
         );
-        let text = render_repro(&case, "naive-fast");
+        let text = render_repro(&case, "naive-compiled");
         let entry = parse_entry(&text).unwrap();
         let replayed = entry_case(&entry, "x.corpus").unwrap();
         assert_eq!(replayed.program.instrs, case.program.instrs);
@@ -275,7 +275,7 @@ mod tests {
         assert_eq!(replayed.launches, 2, "repro entries carry the chain depth");
         match entry {
             CorpusEntry::Program { invariant, .. } => {
-                assert_eq!(invariant.as_deref(), Some("naive-fast"));
+                assert_eq!(invariant.as_deref(), Some("naive-compiled"));
             }
             other => panic!("expected program entry, got {other:?}"),
         }

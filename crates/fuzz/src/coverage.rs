@@ -2,8 +2,8 @@
 //! pressure × tasklet bucket).
 //!
 //! Each case contributes its static instruction facts (class and hazard
-//! kind, from the same [`DecodedProgram`] side table the fast loop runs
-//! on) crossed with two dynamic facts about the run: how hard it drove
+//! kind, from the [`DecodedProgram`] side table the op compiler shares
+//! its scheduling facts with) crossed with two dynamic facts about the run: how hard it drove
 //! the memory engine and how many tasklets it ran. The campaign asks the
 //! map for an unhit (class × hazard) cell each round and passes it to the
 //! generator as a focus, closing the feedback loop.

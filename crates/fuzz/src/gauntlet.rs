@@ -1,21 +1,19 @@
 //! The conformance gauntlet: every case runs under all executors and must
-//! satisfy six metamorphic invariants.
+//! satisfy five metamorphic invariants.
 //!
 //! 1. **Oracle equality** — final WRAM/MRAM match the timing-free
 //!    `pim-ref` interpreter byte-for-byte.
-//! 2. **Naive/fast equality** — the optimized cycle loop's full
-//!    [`pim_dpu::DpuRunStats`] (cycles, idle attribution, mixes, traces)
-//!    is identical to the naive per-cycle reference loop's (scalar and
-//!    ILP modes; SIMT has a single implementation).
-//! 3. **Compiled/fast equality** — the block-compiled threaded-code loop
-//!    (the default tier, exercised by the primary run) and the decoded
-//!    fast loop produce identical stats and memory images.
-//! 4. **Sink invisibility** — attaching a `RingSink` event trace changes
+//! 2. **Naive/compiled equality** — the naive per-cycle reference loop
+//!    produces the same full [`pim_dpu::DpuRunStats`] (cycles, idle
+//!    attribution, mixes, traces) and the same WRAM/MRAM image as the
+//!    block-compiled scheduler (the default tier, exercised by the primary
+//!    run) — scalar and ILP modes; SIMT has a single implementation.
+//! 3. **Sink invisibility** — attaching a `RingSink` event trace changes
 //!    nothing about the simulated run: the stats render identically.
-//! 5. **Schedule invariance** — re-running the oracle with a *reversed*
+//! 4. **Schedule invariance** — re-running the oracle with a *reversed*
 //!    tasklet service order leaves the same final memory image (the
 //!    generator only emits schedule-independent programs).
-//! 6. **Batch equality** — running the case through the SoA batched
+//! 5. **Batch equality** — running the case through the batched
 //!    executor ([`pim_dpu::run_batch`], the rank-scale path) produces the
 //!    same `DpuRunStats` rendering and WRAM/MRAM image as the per-DPU
 //!    launch, for every batch member.
@@ -44,30 +42,27 @@ pub const MRAM_COMPARE: u32 = 128 * 1024;
 /// Ring capacity used for the sink-invisibility run.
 const RING_CAPACITY: usize = 1 << 16;
 
-/// The six conformance invariants.
+/// The five conformance invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Invariant {
     /// Final memory equals the `pim-ref` oracle's.
     OracleEquality,
-    /// Naive and fast cycle loops produce identical stats.
-    NaiveFastEquality,
-    /// The block-compiled loop and the fast loop produce identical stats
-    /// and memory images.
-    CompiledFastEquality,
+    /// The naive reference loop and the compiled scheduler produce
+    /// identical stats and memory images.
+    NaiveCompiledEquality,
     /// Event tracing does not perturb the simulation.
     SinkInvisibility,
     /// Final memory is independent of the oracle's service order.
     ScheduleInvariance,
-    /// The SoA batched executor matches the per-DPU launch exactly.
+    /// The batched executor matches the per-DPU launch exactly.
     BatchEquality,
 }
 
 impl Invariant {
     /// All invariants, in gauntlet order.
-    pub const ALL: [Invariant; 6] = [
+    pub const ALL: [Invariant; 5] = [
         Invariant::OracleEquality,
-        Invariant::NaiveFastEquality,
-        Invariant::CompiledFastEquality,
+        Invariant::NaiveCompiledEquality,
         Invariant::SinkInvisibility,
         Invariant::ScheduleInvariance,
         Invariant::BatchEquality,
@@ -78,8 +73,7 @@ impl Invariant {
     pub fn as_str(self) -> &'static str {
         match self {
             Invariant::OracleEquality => "oracle",
-            Invariant::NaiveFastEquality => "naive-fast",
-            Invariant::CompiledFastEquality => "compiled-fast",
+            Invariant::NaiveCompiledEquality => "naive-compiled",
             Invariant::SinkInvisibility => "sink",
             Invariant::ScheduleInvariance => "schedule",
             Invariant::BatchEquality => "batch",
@@ -111,7 +105,7 @@ pub struct Failure {
 /// Facts about a passing run the campaign feeds back into coverage.
 #[derive(Debug)]
 pub struct PassInfo {
-    /// Fast-loop cycle count (summed across chained launches).
+    /// Primary-run cycle count (summed across chained launches).
     pub cycles: u64,
     /// DMA requests issued (exact, from the merged run stats).
     pub dma_requests: u64,
@@ -205,7 +199,7 @@ fn run_oracle(
     Ok(())
 }
 
-/// Runs one case through all six invariants.
+/// Runs one case through all five invariants.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
@@ -218,7 +212,7 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
     let omram = oracle.read_mram(0, MRAM_COMPARE);
 
     // Invariant 1: the optimized pipeline agrees with the oracle.
-    let fast = match run_once(case, case.config()) {
+    let primary = match run_once(case, case.config()) {
         Ok(r) => r,
         Err(e) => {
             return CheckOutcome::Fail(Failure {
@@ -227,7 +221,7 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
             });
         }
     };
-    for (name, got, want) in [("WRAM", &fast.wram, &owram), ("MRAM", &fast.mram, &omram)] {
+    for (name, got, want) in [("WRAM", &primary.wram, &owram), ("MRAM", &primary.mram, &omram)] {
         if let Some(at) = first_diff(got, want) {
             return CheckOutcome::Fail(Failure {
                 invariant: Invariant::OracleEquality,
@@ -239,63 +233,39 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
         }
     }
 
-    // Invariant 2: the naive per-cycle loop times identically.
+    // Invariant 2: the naive per-cycle loop agrees with the compiled
+    // scheduler (the default tier, so the primary run above is compiled).
+    // The memory comparison matters too: the two loops execute through
+    // different instruction implementations.
     if case.mode.has_naive_loop() {
-        let naive = match run_once(case, case.config().with_naive_loop()) {
+        let naive = match run_once(case, case.config().with_exec_tier(ExecTier::Naive)) {
             Ok(r) => r,
             Err(e) => {
                 return CheckOutcome::Fail(Failure {
-                    invariant: Invariant::NaiveFastEquality,
-                    detail: format!("naive loop faulted where the fast loop ran clean: {e}"),
+                    invariant: Invariant::NaiveCompiledEquality,
+                    detail: format!("naive loop faulted where the compiled loop ran clean: {e}"),
                 });
             }
         };
-        if naive.stats_debug != fast.stats_debug {
+        if naive.stats_debug != primary.stats_debug {
             return CheckOutcome::Fail(Failure {
-                invariant: Invariant::NaiveFastEquality,
+                invariant: Invariant::NaiveCompiledEquality,
                 detail: format!(
-                    "stats diverged (fast {} vs naive {} cycles): {}",
-                    fast.cycles,
+                    "stats diverged (compiled {} vs naive {} cycles): {}",
+                    primary.cycles,
                     naive.cycles,
-                    first_line_diff(&fast.stats_debug, &naive.stats_debug)
-                ),
-            });
-        }
-    }
-
-    // Invariant 3: the decoded fast loop agrees with the block-compiled
-    // loop (the default tier, so the primary run above is compiled). The
-    // memory comparison matters here: the two loops share the scheduler
-    // shape but execute through different instruction implementations.
-    if case.mode.has_naive_loop() {
-        let fastloop = match run_once(case, case.config().with_exec_tier(ExecTier::Fast)) {
-            Ok(r) => r,
-            Err(e) => {
-                return CheckOutcome::Fail(Failure {
-                    invariant: Invariant::CompiledFastEquality,
-                    detail: format!("fast loop faulted where the compiled loop ran clean: {e}"),
-                });
-            }
-        };
-        if fastloop.stats_debug != fast.stats_debug {
-            return CheckOutcome::Fail(Failure {
-                invariant: Invariant::CompiledFastEquality,
-                detail: format!(
-                    "stats diverged (compiled {} vs fast {} cycles): {}",
-                    fast.cycles,
-                    fastloop.cycles,
-                    first_line_diff(&fast.stats_debug, &fastloop.stats_debug)
+                    first_line_diff(&primary.stats_debug, &naive.stats_debug)
                 ),
             });
         }
         for (name, got, want) in
-            [("WRAM", &fastloop.wram, &fast.wram), ("MRAM", &fastloop.mram, &fast.mram)]
+            [("WRAM", &naive.wram, &primary.wram), ("MRAM", &naive.mram, &primary.mram)]
         {
             if let Some(at) = first_diff(got, want) {
                 return CheckOutcome::Fail(Failure {
-                    invariant: Invariant::CompiledFastEquality,
+                    invariant: Invariant::NaiveCompiledEquality,
                     detail: format!(
-                        "{name} diverged at {at:#x}: fast {:#04x}, compiled {:#04x}",
+                        "{name} diverged at {at:#x}: naive {:#04x}, compiled {:#04x}",
                         got[at], want[at]
                     ),
                 });
@@ -303,7 +273,7 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
         }
     }
 
-    // Invariant 4: attaching an event-trace ring is invisible.
+    // Invariant 3: attaching an event-trace ring is invisible.
     let ring = match run_once(case, case.config().with_event_trace(RING_CAPACITY)) {
         Ok(r) => r,
         Err(e) => {
@@ -313,17 +283,17 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
             });
         }
     };
-    if ring.stats_debug != fast.stats_debug {
+    if ring.stats_debug != primary.stats_debug {
         return CheckOutcome::Fail(Failure {
             invariant: Invariant::SinkInvisibility,
             detail: format!(
                 "stats changed under tracing: {}",
-                first_line_diff(&fast.stats_debug, &ring.stats_debug)
+                first_line_diff(&primary.stats_debug, &ring.stats_debug)
             ),
         });
     }
 
-    // Invariant 5: a reversed oracle service order reaches the same
+    // Invariant 4: a reversed oracle service order reaches the same
     // memory image (schedule independence).
     let mut reversed = RefInterpreter::new(&case.program, case.tasklets);
     let order: Vec<u32> = (0..case.tasklets).rev().collect();
@@ -347,9 +317,9 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
         }
     }
 
-    // Invariant 6: the SoA batched executor (the rank-scale path) matches
+    // Invariant 5: the batched executor (the rank-scale path) matches
     // the per-DPU launch member-for-member. Two members with identical
-    // state exercise the lockstep fast path end to end; SIMT and traced
+    // state exercise the lockstep prefix end to end; SIMT and traced
     // configurations fall back to per-DPU launches inside `run_batch` and
     // must still agree.
     let mut batch: Vec<Dpu> = (0..2).map(|_| Dpu::new(case.config())).collect();
@@ -388,18 +358,19 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
     }
     for (i, (stats, dpu)) in merged.iter().flatten().zip(&batch).enumerate() {
         let rendered = format!("{stats:#?}");
-        if rendered != fast.stats_debug {
+        if rendered != primary.stats_debug {
             return CheckOutcome::Fail(Failure {
                 invariant: Invariant::BatchEquality,
                 detail: format!(
                     "batch member {i} stats diverged: {}",
-                    first_line_diff(&fast.stats_debug, &rendered)
+                    first_line_diff(&primary.stats_debug, &rendered)
                 ),
             });
         }
         let bwram = dpu.read_wram(0, WRAM_COMPARE);
         let bmram = dpu.read_mram(0, MRAM_COMPARE);
-        for (name, got, want) in [("WRAM", &bwram, &fast.wram), ("MRAM", &bmram, &fast.mram)] {
+        for (name, got, want) in [("WRAM", &bwram, &primary.wram), ("MRAM", &bmram, &primary.mram)]
+        {
             if let Some(at) = first_diff(got, want) {
                 return CheckOutcome::Fail(Failure {
                     invariant: Invariant::BatchEquality,
@@ -417,10 +388,10 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
         metrics.absorb(&trace.events);
     }
     CheckOutcome::Pass(Box::new(PassInfo {
-        cycles: fast.cycles,
-        dma_requests: fast.dma_requests,
-        mem: MemPressure::classify(fast.dma_requests, case.tasklets),
-        shape: DmaShape::classify(fast.dma_requests, fast.dram_bytes),
+        cycles: primary.cycles,
+        dma_requests: primary.dma_requests,
+        mem: MemPressure::classify(primary.dma_requests, case.tasklets),
+        shape: DmaShape::classify(primary.dma_requests, primary.dram_bytes),
         chain: ChainDepth::classify(case.launch_count()),
         metrics,
     }))

@@ -5,8 +5,8 @@
 //!
 //! The repo carries three independent executors that must agree on every
 //! program — the timing-free `pim-ref` oracle, the naive per-cycle
-//! reference loop, and the optimized pre-decoded fast loop (plus the SIMT
-//! front-end) — and the interesting divergences hide in exactly the
+//! reference loop, and the block-compiled scheduler (plus the SIMT
+//! front-end and the batched executor) — and the interesting divergences hide in exactly the
 //! corners fixed test suites do not reach: duplicate-source register-file
 //! hazards, DMA bursts against a busy memory engine, barrier/mutex
 //! interleavings at odd tasklet counts. This crate closes that gap with
@@ -22,8 +22,9 @@
 //!   [`pim_isa::DecodedProgram`] and run metrics; the campaign biases
 //!   generation toward unhit cells.
 //! * [`gauntlet`] — the metamorphic conformance checks every generated
-//!   program must pass: oracle equality, naive-vs-fast stats equality,
-//!   trace-sink invisibility, and tasklet-schedule invariance.
+//!   program must pass: oracle equality, naive-vs-compiled stats and
+//!   memory equality, trace-sink invisibility, tasklet-schedule
+//!   invariance, and batch equality.
 //! * [`shrink`] + [`corpus`] — failures are delta-debugged down to minimal
 //!   repros (blocks, then instructions, then operands, then tasklets) and
 //!   written to a committed text corpus that replays deterministically in

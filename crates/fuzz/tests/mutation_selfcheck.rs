@@ -20,8 +20,8 @@ fn the_fuzzer_catches_the_seeded_scoreboard_bug_and_shrinks_it() {
     let f = mutated.failures.first().expect("a reported failure");
     assert_eq!(
         f.invariant,
-        Invariant::NaiveFastEquality,
-        "dropping the RF hazard diverges naive vs fast timing: {}",
+        Invariant::NaiveCompiledEquality,
+        "dropping the RF hazard diverges naive vs compiled timing: {}",
         f.detail
     );
     assert!(

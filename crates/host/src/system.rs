@@ -260,6 +260,16 @@ impl PimSystem {
         }
     }
 
+    /// Validates that `[addr, addr + len)` lies inside the MRAM bank.
+    fn check_mram(&self, addr: u32, len: u64) -> Result<(), SimError> {
+        let size = self.dpus[0].config().layout.mram_bytes;
+        if u64::from(addr) + len <= u64::from(size) {
+            Ok(())
+        } else {
+            Err(SimError::TransferOutOfRange { addr, len, size })
+        }
+    }
+
     /// Parallel CPU→DPU transfer into MRAM (`dpu_push_xfer(TO_DPU)`):
     /// `chunks[i]` is written to DPU `i` at `addr`. Takes the time of the
     /// largest chunk.
@@ -278,10 +288,12 @@ impl PimSystem {
     /// # Errors
     ///
     /// Returns [`SimError::ChunkCountMismatch`] unless `chunks` has exactly
-    /// one entry per DPU.
+    /// one entry per DPU, and [`SimError::TransferOutOfRange`] when a chunk
+    /// runs past the MRAM bank.
     pub fn try_push_to_mram(&mut self, addr: u32, chunks: &[&[u8]]) -> Result<(), SimError> {
         self.check_chunks(chunks.len())?;
         let max_bytes = chunks.iter().map(|c| c.len()).max().unwrap_or(0) as u64;
+        self.check_mram(addr, max_bytes)?;
         for (dpu, chunk) in self.dpus.iter_mut().zip(chunks) {
             dpu.write_mram(addr, chunk);
         }
@@ -321,9 +333,11 @@ impl PimSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BadDpuIndex`] when `dpu` is out of range.
+    /// Returns [`SimError::BadDpuIndex`] when `dpu` is out of range, and
+    /// [`SimError::TransferOutOfRange`] when `data` runs past the MRAM bank.
     pub fn try_copy_to_mram(&mut self, dpu: u32, addr: u32, data: &[u8]) -> Result<(), SimError> {
         self.check_dpu(dpu)?;
+        self.check_mram(addr, data.len() as u64)?;
         self.dpus[dpu as usize].write_mram(addr, data);
         let ns = self.channel.push_one(dpu, data.len() as u64);
         self.record_host(false, ns, data.len() as u64);
@@ -376,7 +390,9 @@ impl PimSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BadDpuIndex`] when `dpu` is out of range.
+    /// Returns [`SimError::BadDpuIndex`] when `dpu` is out of range, and
+    /// [`SimError::TransferOutOfRange`] when the range runs past the MRAM
+    /// bank.
     pub fn try_copy_from_mram(
         &mut self,
         dpu: u32,
@@ -384,6 +400,7 @@ impl PimSystem {
         len: u32,
     ) -> Result<Vec<u8>, SimError> {
         self.check_dpu(dpu)?;
+        self.check_mram(addr, u64::from(len))?;
         let out = self.dpus[dpu as usize].read_mram(addr, len);
         let ns = self.channel.pull(u64::from(len));
         self.record_host(true, ns, u64::from(len));
@@ -409,14 +426,26 @@ impl PimSystem {
     /// # Errors
     ///
     /// Returns [`SimError::ChunkCountMismatch`] unless `chunks` has exactly
-    /// one entry per DPU.
+    /// one entry per DPU, and [`SimError::TransferOutOfRange`] when a chunk
+    /// is larger than its DPU's symbol.
     ///
     /// # Panics
     ///
-    /// Still panics if the symbol is unknown on some DPU (a programming
-    /// error, not a batch-sizing error).
+    /// Still panics if no program is loaded or the symbol is unknown on
+    /// some DPU (a programming error, not a batch-sizing error).
     pub fn try_push_to_symbol(&mut self, name: &str, chunks: &[&[u8]]) -> Result<(), SimError> {
         self.check_chunks(chunks.len())?;
+        for (dpu, chunk) in self.dpus.iter().zip(chunks) {
+            let sym = dpu
+                .program()
+                .expect("no program loaded")
+                .symbol(name)
+                .unwrap_or_else(|| panic!("unknown WRAM symbol `{name}`"));
+            if chunk.len() > sym.size as usize {
+                let len = chunk.len() as u64;
+                return Err(SimError::TransferOutOfRange { addr: sym.addr, len, size: sym.size });
+            }
+        }
         let max_bytes = chunks.iter().map(|c| c.len()).max().unwrap_or(0) as u64;
         for (dpu, chunk) in self.dpus.iter_mut().zip(chunks) {
             dpu.write_wram_symbol(name, chunk);
@@ -506,7 +535,7 @@ impl PimSystem {
     /// *successful* launches (a DPU that faulted at the launch boundary
     /// never ran); faults armed via [`Dpu::arm_fault`] surface here as
     /// their typed [`SimError`] carrying the faulting DPU's index. Always
-    /// uses the per-DPU executor (never the SoA batch path) so each
+    /// uses the per-DPU executor (never the batch path) so each
     /// device's armed-fault slot is checked individually.
     pub fn launch_each(&mut self) -> Vec<Result<DpuRunStats, SimError>> {
         let results = self.run_all_chunked();
@@ -556,11 +585,11 @@ impl PimSystem {
         }
     }
 
-    /// Launches the loaded kernel through the rank-scale SoA batch
+    /// Launches the loaded kernel through the rank-scale batch
     /// executor ([`pim_dpu::run_batch`]): the set is partitioned into
     /// batches of up to `max_batch` contiguous DPUs, and *batches* — not
     /// individual DPUs — are sharded over the worker threads, so each
-    /// worker steps its whole batch out of one contiguous state block.
+    /// worker steps its whole batch on one shared compiled kernel.
     ///
     /// Timing, statistics, and memory end-state are byte-identical to
     /// [`PimSystem::launch_all`]'s per-DPU path regardless of `max_batch`
@@ -577,8 +606,8 @@ impl PimSystem {
     /// Panics if `max_batch` is zero.
     pub fn launch_all_batched(&mut self, max_batch: usize) -> Result<LaunchReport, SimError> {
         assert!(max_batch > 0, "batch size must be at least 1 DPU");
-        // The SoA executor steps a whole batch out of one state block and
-        // cannot fail a single member at the boundary, so armed faults are
+        // The batch executor steps a whole batch in one call and cannot
+        // fail a single member at the boundary, so armed faults are
         // consumed up front: every armed slot is taken (one-shot, matching
         // the per-DPU path, which launches all DPUs before propagating) and
         // the lowest-indexed fault is the one reported.

@@ -3,8 +3,10 @@
 //! `try_copy_to_mram` / `try_copy_from_mram` must reject an out-of-range
 //! DPU index with [`SimError::BadDpuIndex`], and the parallel batch
 //! transfers `try_push_to_mram` / `try_push_to_symbol` must reject a
-//! mis-sized batch with [`SimError::ChunkCountMismatch`] — in both cases
-//! without touching any DPU state or advancing the host timeline. The Ok
+//! mis-sized batch with [`SimError::ChunkCountMismatch`]. All four reject
+//! a byte range past their target (the MRAM bank, or the WRAM symbol) with
+//! [`SimError::TransferOutOfRange`]. Every rejection happens without
+//! touching any DPU state or advancing the host timeline. The Ok
 //! paths are pinned alongside so the fallible wrappers stay equivalent to
 //! their panicking counterparts.
 
@@ -90,4 +92,47 @@ fn try_push_to_symbol_rejects_a_mis_sized_batch() {
     );
     // A correctly-sized batch succeeds (the symbol exists on every DPU).
     sys.try_push_to_symbol("buf", &[&[1; 4], &[2; 4], &[3; 4]]).unwrap();
+}
+
+/// MRAM bank size of the paper-baseline layout.
+const MRAM_BYTES: u32 = 64 * 1024 * 1024;
+
+#[test]
+fn try_mram_transfers_reject_a_range_past_the_bank() {
+    let mut sys = system();
+    let before = *sys.timeline();
+    let past = |addr: u32, len: u64| SimError::TransferOutOfRange { addr, len, size: MRAM_BYTES };
+    let chunk: &[u8] = &[5; 8];
+    assert_eq!(sys.try_push_to_mram(MRAM_BYTES - 4, &[chunk; 3]), Err(past(MRAM_BYTES - 4, 8)));
+    assert_eq!(sys.try_copy_to_mram(1, u32::MAX, &[1]), Err(past(u32::MAX, 1)));
+    assert_eq!(sys.try_copy_from_mram(2, MRAM_BYTES, 1), Err(past(MRAM_BYTES, 1)));
+    // Nothing was written and no host time passed.
+    assert_eq!(*sys.timeline(), before);
+    for dpu in 0..N_DPUS {
+        assert_eq!(sys.dpu(dpu).read_mram(MRAM_BYTES - 8, 8), vec![0u8; 8]);
+    }
+    // Ranges that end exactly at the bank's last byte are in range.
+    sys.try_push_to_mram(MRAM_BYTES - 8, &[chunk; 3]).unwrap();
+    assert_eq!(sys.try_copy_from_mram(2, MRAM_BYTES - 8, 8).unwrap(), chunk.to_vec());
+}
+
+#[test]
+fn try_push_to_symbol_rejects_a_chunk_larger_than_the_symbol() {
+    let mut sys = system();
+    let mut k = KernelBuilder::new();
+    let addr = k.global_zeroed("buf", 16);
+    k.stop();
+    sys.load(&k.build().expect("symbol program builds")).unwrap();
+    let before = *sys.timeline();
+    let big: &[u8] = &[7; 17];
+    assert_eq!(
+        sys.try_push_to_symbol("buf", &[&[1; 16], big, &[3; 4]]),
+        Err(SimError::TransferOutOfRange { addr, len: 17, size: 16 })
+    );
+    // No DPU was written (not even DPU 0, ahead of the oversized chunk)
+    // and no host time passed.
+    assert_eq!(*sys.timeline(), before);
+    for dpu in 0..N_DPUS {
+        assert_eq!(sys.dpu(dpu).read_wram_symbol("buf"), vec![0u8; 16]);
+    }
 }

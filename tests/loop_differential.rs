@@ -1,24 +1,23 @@
-//! Differential pinning of the optimized DPU executor tiers against the
-//! naive per-cycle reference.
+//! Differential pinning of the compiled DPU scheduler against the naive
+//! per-cycle reference.
 //!
-//! The optimized executors — the decoded fast loop (pre-decoded side
-//! tables, event-driven wakeup, allocation-free steady state) and the
-//! block-compiled threaded-code loop — must be *timing-invisible*: every
-//! simulated quantity — cycle counts, idle attribution, instruction mixes,
-//! the trace itself — has to match what the straightforward
-//! scan-everything-every-cycle loop computes. [`ExecTier`] keeps all three
-//! loops alive so this suite can assert full `DpuRunStats` equality over
-//! the whole extended PrIM suite (naive × fast × compiled, across tasklet
-//! counts and pipeline modes).
+//! The compiled scheduler step (block-compiled op table, event-driven
+//! wakeup, allocation-free steady state) — which the per-DPU loop, the
+//! batch sweep and the batch lockstep leader all run — must be
+//! *timing-invisible*: every simulated quantity — cycle counts, idle
+//! attribution, instruction mixes, the trace itself — has to match what
+//! the straightforward scan-everything-every-cycle loop computes.
+//! [`ExecTier`] keeps both loops alive so this suite can assert full
+//! `DpuRunStats` equality over the whole extended PrIM suite (naive ×
+//! compiled × batched, across tasklet counts and pipeline modes).
 
 use pim_dpu::{DpuConfig, ExecTier, IlpFeatures};
 use prim_suite::{all_workloads, extended_workloads, DatasetSize, RunConfig, Workload};
 
 const TASKLETS: [u32; 3] = [1, 8, 16];
 
-/// The three scalar executor tiers, with leg labels.
-const TIERS: [(&str, ExecTier); 3] =
-    [("naive", ExecTier::Naive), ("fast", ExecTier::Fast), ("compiled", ExecTier::Compiled)];
+/// The two scalar executor tiers, with leg labels.
+const TIERS: [(&str, ExecTier); 2] = [("naive", ExecTier::Naive), ("compiled", ExecTier::Compiled)];
 
 /// Runs one workload under `cfg` through every executor tier and asserts
 /// the per-DPU stats are identical field-for-field (via the `Debug`
@@ -51,7 +50,7 @@ fn assert_loops_agree(w: &dyn Workload, mode: &str, cfg: DpuConfig) {
 
 #[test]
 fn scalar_tiers_match_naive_reference() {
-    // The full naive × fast × compiled cross product over every workload
+    // The full naive × compiled cross product over every workload
     // in the extended suite (dense PrIM + sparse BSR + quantized NN).
     for w in extended_workloads() {
         for n in TASKLETS {
@@ -81,7 +80,7 @@ fn cached_loop_matches_naive_reference() {
 }
 
 /// Runs one workload over the same 4-DPU population through the per-DPU
-/// path and the SoA batched executor (`batch_dpus = 3`, so the population
+/// path and the batched executor (`batch_dpus = 3`, so the population
 /// shards into a 3-member batch plus a singleton) and asserts per-DPU
 /// stats are identical field-for-field.
 ///
@@ -154,17 +153,17 @@ const RING: usize = 1 << 16;
 
 #[test]
 fn event_tracing_is_invisible_to_both_loops() {
-    // The {fast, naive} x {NullSink, RingSink} cross product: attaching a
+    // The {compiled, naive} x {NullSink, RingSink} cross product: attaching a
     // structured event trace must change *nothing* in either loop's
     // simulated quantities, and both loops must still agree with each
     // other while recording.
     for w in all_workloads() {
         let base = DpuConfig::paper_baseline(8);
         let legs = [
-            ("fast+null", base.clone()),
-            ("fast+ring", base.clone().with_event_trace(RING)),
-            ("naive+null", base.clone().with_naive_loop()),
-            ("naive+ring", base.with_naive_loop().with_event_trace(RING)),
+            ("compiled+null", base.clone()),
+            ("compiled+ring", base.clone().with_event_trace(RING)),
+            ("naive+null", base.clone().with_exec_tier(ExecTier::Naive)),
+            ("naive+ring", base.with_exec_tier(ExecTier::Naive).with_event_trace(RING)),
         ];
         let mut rendered: Vec<(&str, Vec<String>)> = Vec::new();
         for (leg, cfg) in legs {

@@ -6,10 +6,10 @@
 //! SpMM-BSR) and *chained* kernel launches with host-side staging between
 //! phases (MLP-Q, ATTN). Each leg must produce byte-identical outputs —
 //! every workload validates its DPU results against the host oracle — and
-//! the naive, fast, and SoA-batched executors must agree on the full
+//! the naive, compiled, and batched executors must agree on the full
 //! timing statistics, at 1, 8, and 16 tasklets.
 
-use pim_dpu::{DpuConfig, IlpFeatures};
+use pim_dpu::{DpuConfig, ExecTier, IlpFeatures};
 use prim_suite::{nn_workloads, sparse_workloads, DatasetSize, RunConfig, Workload};
 
 const TASKLETS: [u32; 3] = [1, 8, 16];
@@ -23,25 +23,31 @@ fn extension_workloads() -> Vec<Box<dyn Workload>> {
 /// Runs one workload with both cycle loops and asserts validation passes
 /// and the per-DPU stats are identical field-for-field.
 fn assert_loops_agree(w: &dyn Workload, mode: &str, cfg: DpuConfig) {
-    let fast = w
+    let compiled = w
         .run(DatasetSize::Tiny, &RunConfig::single(cfg.clone()))
-        .unwrap_or_else(|e| panic!("{} [{mode}] optimized run failed: {e}", w.name()));
-    fast.validation
+        .unwrap_or_else(|e| panic!("{} [{mode}] compiled run failed: {e}", w.name()));
+    compiled
+        .validation
         .as_ref()
         .unwrap_or_else(|e| panic!("{} [{mode}] output failed validation: {e}", w.name()));
     let naive = w
-        .run(DatasetSize::Tiny, &RunConfig::single(cfg.with_naive_loop()))
+        .run(DatasetSize::Tiny, &RunConfig::single(cfg.with_exec_tier(ExecTier::Naive)))
         .unwrap_or_else(|e| panic!("{} [{mode}] naive run failed: {e}", w.name()));
     naive
         .validation
         .as_ref()
         .unwrap_or_else(|e| panic!("{} [{mode}] naive output failed validation: {e}", w.name()));
-    assert_eq!(fast.per_dpu.len(), naive.per_dpu.len(), "{} [{mode}]: DPU count differs", w.name());
-    for (i, (f, n)) in fast.per_dpu.iter().zip(&naive.per_dpu).enumerate() {
+    assert_eq!(
+        compiled.per_dpu.len(),
+        naive.per_dpu.len(),
+        "{} [{mode}]: DPU count differs",
+        w.name()
+    );
+    for (i, (c, n)) in compiled.per_dpu.iter().zip(&naive.per_dpu).enumerate() {
         assert_eq!(
-            format!("{f:?}"),
+            format!("{c:?}"),
             format!("{n:?}"),
-            "{} [{mode}] dpu {i}: naive and fast loops disagree",
+            "{} [{mode}] dpu {i}: naive and compiled loops disagree",
             w.name()
         );
     }
@@ -66,7 +72,7 @@ fn extension_ilp_loop_matches_naive_reference() {
     }
 }
 
-/// 4 DPUs through the per-DPU path and the SoA batched executor
+/// 4 DPUs through the per-DPU path and the batched executor
 /// (`batch_dpus = 3`: one 3-member batch plus a singleton). The chained
 /// kernels re-enter `run_batch` once per launch, so batch scheduling state
 /// must survive the host staging round-trips too.
